@@ -7,177 +7,87 @@
     Flow problems ([live], [avail]) have no entry environments to
     tabulate, so only the value domains appear.
 
-    Each instantiation owns a process-global {!Ipcp_incr.Ctxcache}: a
-    resident session (or a bench warm pass) that re-analyses a program
-    finds every converged context exit keyed by deep fingerprint +
-    entry digest and adopts it at context creation, which collapses the
-    suspend/resume rounds of unchanged subtrees. *)
+    Each instantiation ({!Instance}) owns a process-global
+    {!Ipcp_incr.Ctxcache}: a resident session that re-analyses a program
+    adopts every converged context exit keyed by deep fingerprint +
+    entry digest, collapsing the rounds of unchanged subtrees. *)
 
-module Loc = Ipcp_frontend.Loc
 module Driver = Ipcp_core.Driver
 module Framework = Ipcp_core.Framework
 module Provenance = Ipcp_core.Provenance
 module Ctxcache = Ipcp_incr.Ctxcache
 module Json = Ipcp_obs.Json
-module CL = Ipcp_domains.Clattice
-module I = Ipcp_domains.Interval
-module C = Ipcp_domains.Copyprop
 open Ipcp_frontend.Names
-
-module TConst = Tabulation.Make (CL)
-module TInterval = Tabulation.Make (I)
-module TCopy = Tabulation.Make (C)
-
-(* process-global warm stores, one per instantiation *)
-let const_store : CL.t Tabulation.RT.t Ctxcache.t = Ctxcache.create ()
-
-let interval_store : I.t Tabulation.RT.t Ctxcache.t = Ctxcache.create ()
-
-let copy_store : C.t Tabulation.RT.t Ctxcache.t = Ctxcache.create ()
-
-let reset_caches () =
-  Ctxcache.clear const_store;
-  Ctxcache.clear interval_store;
-  Ctxcache.clear copy_store
-
-let cache_stats () =
-  [
-    ( "const",
-      Ctxcache.hits const_store,
-      Ctxcache.misses const_store,
-      Ctxcache.size const_store );
-    ( "interval",
-      Ctxcache.hits interval_store,
-      Ctxcache.misses interval_store,
-      Ctxcache.size interval_store );
-    ( "copyprop",
-      Ctxcache.hits copy_store,
-      Ctxcache.misses copy_store,
-      Ctxcache.size copy_store );
-  ]
-
-let const_cache (d : Driver.t) : TConst.cache =
-  let deep =
-    Ctxcache.deep_fingerprints ~config:d.Driver.config d.Driver.symtab
-      d.Driver.cg
-  in
-  let key proc entry =
-    Option.map
-      (fun fp -> Ctxcache.key ~deep_fp:fp ~entry)
-      (SM.find_opt proc deep)
-  in
-  {
-    TConst.c_find =
-      (fun ~proc ~entry ->
-        Option.bind (key proc entry) (Ctxcache.find const_store));
-    c_store =
-      (fun ~proc ~entry exits ->
-        match key proc entry with
-        | Some k -> Ctxcache.add const_store k exits
-        | None -> ());
-  }
-
-let interval_cache (d : Driver.t) : TInterval.cache =
-  let deep =
-    Ctxcache.deep_fingerprints ~config:d.Driver.config d.Driver.symtab
-      d.Driver.cg
-  in
-  let key proc entry =
-    Option.map
-      (fun fp -> Ctxcache.key ~deep_fp:fp ~entry)
-      (SM.find_opt proc deep)
-  in
-  {
-    TInterval.c_find =
-      (fun ~proc ~entry ->
-        Option.bind (key proc entry) (Ctxcache.find interval_store));
-    c_store =
-      (fun ~proc ~entry exits ->
-        match key proc entry with
-        | Some k -> Ctxcache.add interval_store k exits
-        | None -> ());
-  }
-
-let copy_cache (d : Driver.t) : TCopy.cache =
-  let deep =
-    Ctxcache.deep_fingerprints ~config:d.Driver.config d.Driver.symtab
-      d.Driver.cg
-  in
-  let key proc entry =
-    Option.map
-      (fun fp -> Ctxcache.key ~deep_fp:fp ~entry)
-      (SM.find_opt proc deep)
-  in
-  {
-    TCopy.c_find =
-      (fun ~proc ~entry ->
-        Option.bind (key proc entry) (Ctxcache.find copy_store));
-    c_store =
-      (fun ~proc ~entry exits ->
-        match key proc entry with
-        | Some k -> Ctxcache.add copy_store k exits
-        | None -> ());
-  }
-
-let run_const ?ctx_limit ?(warm = true) (d : Driver.t) : TConst.t =
-  let cache = if warm then Some (const_cache d) else None in
-  TConst.run ?ctx_limit ?cache d
-
-let run_interval ?ctx_limit ?(warm = true) (d : Driver.t) : TInterval.t =
-  let cache = if warm then Some (interval_cache d) else None in
-  TInterval.run ?ctx_limit ?cache d
-
-let run_copyprop ?ctx_limit ?(warm = true) (d : Driver.t) : TCopy.t =
-  let cache = if warm then Some (copy_cache d) else None in
-  TCopy.run ?ctx_limit ?cache d
-
-(* ------------------------------------------------------------------ *)
-(* The registry *)
 
 type entry = {
   e_name : string;
   e_doc : string;
   e_run : ?ctx_limit:int -> ?warm:bool -> Driver.t -> Framework.report;
+  e_cold : Driver.t -> Framework.report * Provenance.t option;
+      (** a run without warm exits, and the provenance it recorded *)
 }
 
-let report_const ?ctx_limit ?warm d =
-  let t = run_const ?ctx_limit ?warm d in
-  {
-    Framework.r_text = Fmt.str "%a" TConst.render_text t;
-    r_json = TConst.json t;
-  }
+(** One domain's tabulation, its warm store and its registry entry. *)
+module Instance (D : Ipcp_domains.Domain.S) = struct
+  module T = Tabulation.Make (D)
 
-let report_interval ?ctx_limit ?warm d =
-  let t = run_interval ?ctx_limit ?warm d in
-  {
-    Framework.r_text = Fmt.str "%a" TInterval.render_text t;
-    r_json = TInterval.json t;
-  }
+  let store : D.t Tabulation.RT.t Ctxcache.t = Ctxcache.create ()
 
-let report_copyprop ?ctx_limit ?warm d =
-  let t = run_copyprop ?ctx_limit ?warm d in
-  {
-    Framework.r_text = Fmt.str "%a" TCopy.render_text t;
-    r_json = TCopy.json t;
-  }
+  let cache (d : Driver.t) : T.cache =
+    let deep =
+      Ctxcache.deep_fingerprints ~config:d.Driver.config d.Driver.symtab
+        d.Driver.cg
+    in
+    let key proc entry =
+      SM.find_opt proc deep
+      |> Option.map (fun fp -> Ctxcache.key ~deep_fp:fp ~entry)
+    in
+    {
+      T.c_find =
+        (fun ~proc ~entry ->
+          Option.bind (key proc entry) (Ctxcache.find store));
+      c_store =
+        (fun ~proc ~entry exits ->
+          Option.iter (fun k -> Ctxcache.add store k exits) (key proc entry));
+    }
+
+  let run ?ctx_limit ?(warm = true) (d : Driver.t) : T.t =
+    T.run ?ctx_limit ?cache:(if warm then Some (cache d) else None) d
+
+  let report t =
+    { Framework.r_text = Fmt.str "%a" T.render_text t; r_json = T.json t }
+
+  let entry what =
+    {
+      e_name = D.name;
+      e_doc = Fmt.str "context-sensitive %s (value contexts)" what;
+      e_run = (fun ?ctx_limit ?warm d -> report (run ?ctx_limit ?warm d));
+      e_cold =
+        (fun d ->
+          let t = run ~warm:false d in
+          (report t, t.T.prov));
+    }
+end
+
+module Const = Instance (Ipcp_domains.Clattice)
+module Interval = Instance (Ipcp_domains.Interval)
+module Copy = Instance (Ipcp_domains.Copyprop)
+module TConst = Const.T
+module TInterval = Interval.T
+
+let run_const = Const.run
+let run_interval = Interval.run
+
+let reset_caches () =
+  Ctxcache.clear Const.store;
+  Ctxcache.clear Interval.store;
+  Ctxcache.clear Copy.store
 
 let all : entry list =
   [
-    {
-      e_name = "const";
-      e_doc = "context-sensitive constant propagation (value contexts)";
-      e_run = report_const;
-    };
-    {
-      e_name = "interval";
-      e_doc = "context-sensitive value ranges (value contexts)";
-      e_run = report_interval;
-    };
-    {
-      e_name = "copyprop";
-      e_doc = "context-sensitive copy propagation (value contexts)";
-      e_run = report_copyprop;
-    };
+    Const.entry "constant propagation";
+    Interval.entry "value ranges";
+    Copy.entry "copy propagation";
   ]
 
 let names = List.map (fun e -> e.e_name) all
@@ -226,42 +136,24 @@ let render_edges ppf (edges : Provenance.edge list) =
     values).  The run is cold — adopting warm exits would skip the
     settling whose derivation the edges describe. *)
 let explain ~domain (d : Driver.t) : (Framework.report, string) result =
-  let render ~text ~table ~prov =
-    let edges =
-      match prov with Some pr -> Provenance.edges pr | None -> []
-    in
-    let r_text =
-      text
-      ^ Fmt.str "context creation edges: %d@.%a" (List.length edges)
-          render_edges edges
-    in
-    let r_json =
-      Json.Obj
-        [
-          ("contexts", table);
-          ("creation_edges", Json.Arr (List.map edge_json edges));
-        ]
-    in
-    Ok { Framework.r_text; r_json }
-  in
-  Provenance.with_enabled @@ fun () ->
-  match domain with
-  | "const" ->
-      let t = run_const ~warm:false d in
-      render
-        ~text:(Fmt.str "%a" TConst.render_text t)
-        ~table:(TConst.json t) ~prov:t.TConst.prov
-  | "interval" ->
-      let t = run_interval ~warm:false d in
-      render
-        ~text:(Fmt.str "%a" TInterval.render_text t)
-        ~table:(TInterval.json t) ~prov:t.TInterval.prov
-  | "copyprop" ->
-      let t = run_copyprop ~warm:false d in
-      render
-        ~text:(Fmt.str "%a" TCopy.render_text t)
-        ~table:(TCopy.json t) ~prov:t.TCopy.prov
-  | _ ->
+  match find domain with
+  | None ->
       Error
         (Fmt.str "unknown context-sensitive domain %s (known: %s)" domain
            (String.concat ", " names))
+  | Some e ->
+      let table, prov = Provenance.with_enabled (fun () -> e.e_cold d) in
+      let edges = Option.fold ~none:[] ~some:Provenance.edges prov in
+      let r_text =
+        table.Framework.r_text
+        ^ Fmt.str "context creation edges: %d@.%a" (List.length edges)
+            render_edges edges
+      in
+      let r_json =
+        Json.Obj
+          [
+            ("contexts", table.Framework.r_json);
+            ("creation_edges", Json.Arr (List.map edge_json edges));
+          ]
+      in
+      Ok { Framework.r_text; r_json }

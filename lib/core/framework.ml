@@ -103,6 +103,7 @@ end) : LAWS with type t = D.t = struct
       ("neg", D.unop Ast.Neg);
       ("add1", fun v -> D.binop Ast.Add v (D.const 1));
       ("mul2", fun v -> D.binop Ast.Mul v (D.const 2));
+      ("mul-bot", fun v -> D.binop Ast.Mul v D.bot);
       ("meet-const3", fun v -> D.meet v (D.const 3));
     ]
 

@@ -71,19 +71,11 @@ module Make (D : Ipcp_domains.Domain.S) : sig
       names so concurrent instances stay distinguishable; only the
       default namespace feeds the convergence log.
 
-      [?jobs] (default 1) enables parallel solving of independent SCCs:
-      the condensation is layered into topological wavefronts and the
-      components of one level are solved concurrently, with
-      cross-component contributions applied by the coordinator in
-      canonical component order.  Monotone evaluation over a
-      finite-height domain makes the fixpoint {e identical} to the
-      sequential one — only {!stats} iteration counts (pops,
-      evaluations) may differ.  The parallel path is taken only when it
-      is provably equivalent and can pay: [jobs > 1] with more than one
-      effective lane (see {!Ipcp_par.Pool.effective_lanes}), the
-      {!Scc_order} strategy, a finite-height domain (widening is
-      iteration-order-dependent), and provenance recording off (the
-      recorded lowering edges are schedule-dependent). *)
+      [?jobs] is accepted and ignored: propagation is one sequential
+      worklist loop whatever the job count, so the fixpoint, {!stats}
+      and the convergence log are jobs-invariant.  The argument remains
+      only because the benchmark's layer replay ([perfbench/replay.ml])
+      still passes it. *)
 
   val constants : t -> string -> int Ipcp_frontend.Names.SM.t
   (** CONSTANTS(p): the (name, value) pairs known constant on entry. *)

@@ -115,7 +115,7 @@ module Make (D : Ipcp_domains.Domain.S) = struct
     let jobs = max 1 config.Config.jobs in
     let solver =
       Trace.span (ns ^ ":propagate") (fun () ->
-          S.solve ~metrics_ns:(ns ^ ".solver") ~jobs ~symtab ~cg ~jfs ())
+          S.solve ~metrics_ns:(ns ^ ".solver") ~symtab ~cg ~jfs ())
     in
     let evals =
       Trace.span (ns ^ ":abseval") (fun () ->

@@ -52,7 +52,10 @@ let height = function Top -> 2 | Const _ -> 1 | Bottom -> 0
 (* Transfer functions, SCCP-style: an overdefined operand poisons the
    result; all-constant operands fold with the concrete evaluator (an
    operation that would fault produces no value, so ⊥ over-approximates
-   it); anything still ⊤ stays ⊤ pending more propagation. *)
+   it); anything still ⊤ stays ⊤ pending more propagation.  Zero absorbs
+   a product before the poisoning, as the symbolic jump functions fold
+   [0 * x] to 0; monotonicity then requires [⊤ * ⊥ = ⊤], since the ⊤
+   operand may still become 0. *)
 
 let unop op v =
   match v with
@@ -62,6 +65,8 @@ let unop op v =
 
 let binop op a b =
   match (a, b) with
+  | (Const 0, _ | _, Const 0) when op = Ast.Mul -> Const 0
+  | (Top, _ | _, Top) when op = Ast.Mul -> Top
   | Bottom, _ | _, Bottom -> Bottom
   | Top, _ | _, Top -> Top
   | Const x, Const y -> (

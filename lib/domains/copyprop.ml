@@ -84,8 +84,13 @@ let unop op v =
   | Bottom | Copy _ -> Bottom
   | Const c -> Const (Ast.eval_unop op c)
 
+(* zero absorbs a product before ⊥ poisons it, and ⊤ then beats ⊥, as
+   in {!Clattice.binop}: the two lattices must fold alike for copyprop to
+   subsume const *)
 let binop op a b =
   match (a, b) with
+  | (Const 0, _ | _, Const 0) when op = Ast.Mul -> Const 0
+  | (Top, _ | _, Top) when op = Ast.Mul -> Top
   | Bottom, _ | _, Bottom -> Bottom
   | Top, _ | _, Top -> Top
   | Const x, Const y -> (

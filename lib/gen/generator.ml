@@ -35,8 +35,7 @@ open Printf
     of the condensation is what the scheduler and the solver react to:
 
     - [Chain]: procedure [i] calls exactly procedure [i+1] — one deep
-      dependence chain, the worst case for SCC-wavefront parallelism
-      (condensation width 1);
+      dependence chain (condensation width 1);
     - [Fanout]: a small layer of hub procedures, each calling its own
       wide segment of leaf procedures — maximal condensation width;
     - [Cyclic]: procedures are partitioned into recursion groups of

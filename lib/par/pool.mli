@@ -49,13 +49,6 @@ val oversubscribe : bool ref
     parallel code paths can be exercised end-to-end from the CLI on a
     single-core host. *)
 
-val effective_lanes : int -> int
-(** The lane count a dispatch with [jobs] would actually use:
-    [min jobs (Domain.recommended_domain_count ())], or [jobs] itself
-    when {!oversubscribe} is set.  Callers that restructure work for
-    parallelism (the solver's SCC wavefronts) consult this to skip the
-    restructuring when it cannot pay. *)
-
 val default_seq_cost : int
 (** Recommended [seq_below] for callers whose costs are statement
     counts: total work under this bound is cheaper to run in-line than

@@ -164,6 +164,19 @@ let engine_tests =
           (procedures_json (Registry.TConst.json t1)
           = procedures_json (Registry.TConst.json t2));
         Registry.reset_caches ());
+    Alcotest.test_case "a zero product stays constant under ⊥ (mixed 100/6)"
+      `Quick (fun () ->
+        (* proc41.g2 and proc42.g2 are [0 * x] with x ⊥ in some context:
+           the jump functions fold them to 0, so tabulation must too *)
+        let src = gen_src ~shape:Generator.Mixed ~n_procs:100 6 in
+        let r =
+          Compare.run_program ~name:"gen" (driver_of ~file:"<gen>" src)
+        in
+        match r.Compare.r_violations with
+        | [] -> ()
+        | (proc, name, c, m) :: _ ->
+            Alcotest.failf "solver has %s.%s = %s but tabulation %s" proc name
+              c m);
   ]
 
 let suites =

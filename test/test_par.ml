@@ -227,9 +227,8 @@ let gen_determinism_prop (seed, n_procs) =
   true
 
 (* The same contract across call-graph shapes, at jobs=8 with
-   oversubscribed lanes — this drives the chunked stage dispatch AND
-   the solver's SCC wavefronts (cyclic shapes give non-trivial
-   components) on genuinely concurrent domains even on a 1-core host.
+   oversubscribed lanes — this drives the chunked stage dispatch on
+   genuinely concurrent domains even on a 1-core host.
    Observed surfaces are the ones CI diffs across job counts: the
    fixpoint, the substituted source, the lint report, and the interval
    JSON. *)
@@ -321,26 +320,49 @@ let site_numbering_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The parallel SCC wavefront (jobs > 1, finite-height domain) must
-   reach the sequential solver's exact fixpoint — deferred
-   cross-component contributions are a schedule, not a semantics. *)
+(* Jobs invariance of everything a run reports, not only its fixpoint:
+   the deterministic counters, the solver's statistics and convergence
+   log, and the substitution totals.  Runs at jobs=4 with oversubscribed
+   lanes, so the parallel stages really run concurrently even on a
+   1-core host. *)
 
-let wavefront_tests =
+module Ipcp = Ipcp_api.Ipcp
+
+let report jobs ~file src =
+  match
+    Ipcp.analyze ~config:(cfg_jobs jobs) (Ipcp.Source.of_string ~file src)
+  with
+  | Error e -> Alcotest.failf "%s: %s" file e
+  | Ok r ->
+      let sub = Ipcp.Result.substitution r in
+      ( Ipcp.Result.stats r,
+        Ipcp.Result.convergence r,
+        Ipcp.Result.solver_stats r,
+        (sub.Ipcp.Result.total, SM.bindings sub.Ipcp.Result.per_proc) )
+
+let jobs_invariance_tests =
   [
-    Alcotest.test_case "wavefront (jobs=8) = sequential fixpoint" `Quick
-      (fun () ->
+    Alcotest.test_case "jobs=4 reports = jobs=1 reports" `Quick (fun () ->
+        Ipcp_obs.Obs.set_enabled true;
+        Fun.protect ~finally:(fun () -> Ipcp_obs.Obs.set_enabled false)
+        @@ fun () ->
         with_lanes @@ fun () ->
-        let check_src name src =
-          let _, t =
-            Driver.analyze_source ~config:(cfg_jobs 1) ~file:name src
-          in
-          let solve jobs =
-            Solver.solve ~jobs ~symtab:t.Driver.symtab ~cg:t.Driver.cg
-              ~jfs:t.Driver.jfs ()
-          in
+        let check_src file src =
+          let stats1, conv1, solver1, sub1 = report 1 ~file src in
+          let stats4, conv4, solver4, sub4 = report 4 ~file src in
           Alcotest.(check bool)
-            (name ^ ": fixpoints agree") true
-            (vals_equal (solve 1).Solver.vals (solve 8).Solver.vals)
+            (file ^ ": counters present") true (stats1 <> []);
+          Alcotest.(check (list (pair string int)))
+            (file ^ ": stats") stats1 stats4;
+          Alcotest.(check int)
+            (file ^ ": convergence rows") (List.length conv1)
+            (List.length conv4);
+          Alcotest.(check bool)
+            (file ^ ": convergence log") true (conv1 = conv4);
+          Alcotest.(check bool)
+            (file ^ ": solver stats") true (solver1 = solver4);
+          Alcotest.(check (pair int (list (pair string int))))
+            (file ^ ": substitution") sub1 sub4
         in
         List.iter
           (fun (p : Programs.program) ->
@@ -407,6 +429,6 @@ let suites =
     ("par-determinism", determinism_tests);
     ("par-gen-determinism", gen_determinism_tests);
     ("par-sites", site_numbering_tests);
-    ("par-wavefront", wavefront_tests);
+    ("par-jobs-invariance", jobs_invariance_tests);
     ("par-scheduling", scheduling_tests);
   ]
